@@ -2,16 +2,15 @@
 //! 500 boards by default, run at `--shards 1` and `--shards <k>` with
 //! a bitwise equality check and a wall-clock comparison.
 //! `--jobs <n>`, `--boards <n>`, `--shards <k>` (default 8),
-//! `--workers <n>` (OS threads for shard advances; default: the
-//! machine's parallelism), `--seed <u64>`, `--quick` (50k jobs, 100
-//! boards, 4 shards — the CI smoke configuration), `--gate` (200k
-//! jobs, 2000 boards, 8 shards — the CI mid leg that makes the
-//! indexed dispatch path earn its keep at a board count where a
-//! linear pick would dominate; under a minute), `--jumbo` (10M
-//! jobs, 5000 boards, 8 shards — the post-hot-path scale ceiling; a
-//! few minutes of wall clock), `--size` (defaults to `test`) and
-//! `--backend {machine,replay}` (default `replay` — a million
-//! cycle-accurate jobs is not a figure, it is a heat source).
+//! `--seed <u64>`, `--quick` (50k jobs, 100 boards, 4 shards — the
+//! CI smoke configuration), `--gate` (200k jobs, 2000 boards, 8
+//! shards — the CI mid leg that makes the indexed dispatch path earn
+//! its keep at a board count where a linear pick would dominate;
+//! under a minute), `--jumbo` (10M jobs, 5000 boards, 8 shards — the
+//! post-hot-path scale ceiling; a few minutes of wall clock), `--size`
+//! (defaults to `test`) and `--backend {machine,replay}` (default
+//! `replay` — a million cycle-accurate jobs is not a figure, it is a
+//! heat source).
 //! `--trace-level {off,ticks,spans,full}` (default `ticks`) sets the
 //! flight-recorder depth of the telemetry-overhead leg; `--perf-gate`
 //! turns the printed PR 8 baseline comparison into a hard assertion
@@ -46,7 +45,6 @@ fn main() {
         cli.seed(),
         cli.backend_or(astro_exec::executor::BackendKind::Replay),
         cli.count_flag("--shards", shards),
-        cli.flag("--workers", 0),
         cli.trace_level().unwrap_or(astro_fleet::TraceLevel::Ticks),
         cli.has("--perf-gate"),
     );

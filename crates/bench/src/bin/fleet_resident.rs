@@ -6,15 +6,15 @@
 //! At CI scale a full checkpoint → kill → resume cycle is asserted
 //! bit-identical to the uninterrupted run for K ∈ {1,2,4,7}.
 //! `--jobs <n>`, `--boards <n>`, `--shards <k>` (default 8),
-//! `--workers <n>` (OS threads for shard advances; default: the
-//! machine's parallelism), `--days <n>` (simulated days for the
-//! long-horizon leg; default 3), `--seed <u64>`, `--quick` (50k jobs,
-//! 100 boards, 4 shards — the CI smoke configuration, which includes
-//! the resume sweep), `--size` (defaults to `test`) and `--backend
-//! {machine,replay}` (default `replay`). `--perf-gate` turns the
-//! printed PR 10 baseline comparison into a hard assertion (CI passes
-//! it at `--quick`, the configuration the baseline was recorded
-//! under). Count flags reject 0 up front.
+//! `--days <n>` (simulated days for the long-horizon leg; default 3),
+//! `--seed <u64>`, `--quick` (50k jobs, 100 boards, 4 shards — the CI
+//! smoke configuration, which includes the resume sweep), `--size`
+//! (defaults to `test`) and `--backend {machine,replay}` (default
+//! `replay`). `--perf-gate` turns the printed comparison against the
+//! recorded streamed-throughput baseline into a hard assertion (CI
+//! passes it at `--quick`, the configuration the baseline was recorded
+//! under). Count flags reject
+//! 0 up front.
 fn main() {
     let cli = astro_bench::Cli::parse();
     cli.reject_tracing("fleet_resident");
@@ -26,7 +26,6 @@ fn main() {
         cli.seed(),
         cli.backend_or(astro_exec::executor::BackendKind::Replay),
         cli.count_flag("--shards", shards),
-        cli.flag("--workers", 0),
         cli.count_flag("--days", 3),
         cli.has("--perf-gate"),
     );

@@ -108,7 +108,6 @@ fn fingerprint(out: &FleetOutcome) -> String {
     k.shards = 0;
     k.messages = 0;
     k.advances = 0;
-    k.par_advances = 0;
     format!(
         "{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{}",
         out.metrics,
@@ -213,20 +212,12 @@ pub fn run(
     seed: u64,
     backend: BackendKind,
     shards: usize,
-    workers: usize,
     days: usize,
     perf_gate: bool,
 ) {
-    let workers = if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        workers
-    };
     println!(
         "=== Fleet resident: {n_jobs} streamed jobs over {n_boards} boards \
-         (seed {seed}, backend {}, shards {shards}, workers {workers}) ===\n",
+         (seed {seed}, backend {}, shards {shards}) ===\n",
         backend.name()
     );
     let cluster = ClusterSpec::heterogeneous(n_boards);
@@ -236,7 +227,6 @@ pub fn run(
     params.train.episodes = 4;
     params.refresh_episodes = 2;
     params.train.reward.gamma = 6.0;
-    params.shard_workers = workers;
     let pool = tenant_pool();
 
     let mean_service = mean_cold_service_s(&cluster, &pool, &params);

@@ -634,93 +634,119 @@ pub fn write_trace<W: Write>(mut w: W, jobs: &[JobSpec]) -> io::Result<()> {
 /// A streaming [`ArrivalCursor`] over a [`write_trace`]-format file:
 /// one buffered line per pull, O(1) memory however long the trace is.
 ///
-/// Malformed lines and unknown workload names panic with the offending
-/// line number — a trace file is an input artefact, and replaying a
-/// corrupt one deterministically wrong would be worse than stopping.
+/// A trace file is untrusted input, so [`TraceCursor::open`] parses
+/// and validates every line before the kernel sees any of it: a
+/// malformed field, an unknown workload, an out-of-range class, a
+/// non-finite, negative or decreasing arrival time, or a non-finite or
+/// non-positive SLO tightness is an [`io::ErrorKind::InvalidData`]
+/// error naming the line.
 pub struct TraceCursor {
     path: PathBuf,
     reader: io::BufReader<std::fs::File>,
+    /// File lines read so far, blank ones included (for messages).
+    line_no: usize,
     pos: usize,
     total: usize,
     pool: Vec<Workload>,
 }
 
+/// Parses and validates one non-empty trace line as stream position
+/// `id`, resolving its workload against `pool`.
+fn parse_trace_line(line: &str, id: usize, pool: &[Workload]) -> Result<JobSpec, String> {
+    let mut f = line.split_whitespace();
+    let mut field = |what: &str| f.next().ok_or_else(|| format!("missing {what}"));
+    let name = field("workload")?;
+    let hex = |what: &str, v: &str| {
+        u64::from_str_radix(v, 16).map_err(|e| format!("bad {what} {v:?}: {e}"))
+    };
+    let arrival_s = f64::from_bits(hex("arrival bits", field("arrival bits")?)?);
+    let slo_tightness = f64::from_bits(hex("slo bits", field("slo bits")?)?);
+    let seed: u64 = field("seed")?
+        .parse()
+        .map_err(|e| format!("bad seed: {e}"))?;
+    let class_idx: usize = field("class index")?
+        .parse()
+        .map_err(|e| format!("bad class index: {e}"))?;
+    let signature: u8 = field("signature")?
+        .parse()
+        .map_err(|e| format!("bad signature: {e}"))?;
+    if let Some(extra) = f.next() {
+        return Err(format!("unexpected trailing field {extra:?}"));
+    }
+    if !(arrival_s.is_finite() && arrival_s >= 0.0) {
+        return Err(format!(
+            "arrival time {arrival_s} must be finite and non-negative"
+        ));
+    }
+    if !(slo_tightness.is_finite() && slo_tightness > 0.0) {
+        return Err(format!(
+            "SLO tightness {slo_tightness} must be finite and positive"
+        ));
+    }
+    let class = *JobClass::ALL
+        .get(class_idx)
+        .ok_or_else(|| format!("class index {class_idx} out of range"))?;
+    let workload = pool
+        .iter()
+        .find(|w| w.name == name)
+        .copied()
+        .ok_or_else(|| format!("unknown workload {name:?}"))?;
+    Ok(JobSpec {
+        id: id as u32,
+        workload,
+        taxon: Taxon { class, signature },
+        arrival_s,
+        slo_tightness,
+        seed,
+    })
+}
+
 impl TraceCursor {
-    /// Opens a trace file, scanning it once to count jobs and collect
-    /// the distinct workloads (the kernel needs both up front).
+    /// Opens a trace file, scanning it once to validate every line,
+    /// count jobs and collect the distinct workloads (the kernel needs
+    /// both up front). Fails with [`io::ErrorKind::InvalidData`] on
+    /// the first invalid line.
     pub fn open(path: &Path) -> io::Result<Self> {
         let mut total = 0usize;
         let mut pool: Vec<Workload> = Vec::new();
+        let mut last_arrival_s = 0.0f64;
         for (ln, line) in io::BufReader::new(std::fs::File::open(path)?)
             .lines()
             .enumerate()
         {
             let line = line?;
-            if line.trim().is_empty() {
+            let invalid = |e: String| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("trace line {}: {e}", ln + 1),
+                )
+            };
+            let Some(name) = line.split_whitespace().next() else {
                 continue;
-            }
-            total += 1;
-            let name = line
-                .split_whitespace()
-                .next()
-                .unwrap_or_else(|| panic!("trace line {} is empty", ln + 1));
+            };
             if !pool.iter().any(|w| w.name == name) {
-                pool.push(astro_workloads::by_name(name).unwrap_or_else(|| {
-                    panic!("trace line {} names unknown workload {name:?}", ln + 1)
-                }));
+                let w = astro_workloads::by_name(name)
+                    .ok_or_else(|| invalid(format!("unknown workload {name:?}")))?;
+                pool.push(w);
             }
+            let job = parse_trace_line(&line, total, &pool).map_err(invalid)?;
+            if job.arrival_s < last_arrival_s {
+                return Err(invalid(format!(
+                    "arrival time {} is before the previous job's {last_arrival_s}",
+                    job.arrival_s
+                )));
+            }
+            last_arrival_s = job.arrival_s;
+            total += 1;
         }
         Ok(TraceCursor {
             path: path.to_path_buf(),
             reader: io::BufReader::new(std::fs::File::open(path)?),
+            line_no: 0,
             pos: 0,
             total,
             pool,
         })
-    }
-
-    fn parse_line(&self, line: &str, id: usize) -> JobSpec {
-        let mut f = line.split_whitespace();
-        let mut field = |what: &str| {
-            f.next()
-                .unwrap_or_else(|| panic!("trace job {id}: missing {what}"))
-                .to_string()
-        };
-        let name = field("workload");
-        let arrival_bits = u64::from_str_radix(&field("arrival bits"), 16)
-            .unwrap_or_else(|e| panic!("trace job {id}: bad arrival bits: {e}"));
-        let slo_bits = u64::from_str_radix(&field("slo bits"), 16)
-            .unwrap_or_else(|e| panic!("trace job {id}: bad slo bits: {e}"));
-        let seed: u64 = field("seed")
-            .parse()
-            .unwrap_or_else(|e| panic!("trace job {id}: bad seed: {e}"));
-        let class_idx: usize = field("class index")
-            .parse()
-            .unwrap_or_else(|e| panic!("trace job {id}: bad class index: {e}"));
-        let signature: u8 = field("signature")
-            .parse()
-            .unwrap_or_else(|e| panic!("trace job {id}: bad signature: {e}"));
-        assert!(
-            class_idx < JobClass::ALL.len(),
-            "trace job {id}: class index {class_idx} out of range"
-        );
-        let workload = self
-            .pool
-            .iter()
-            .find(|w| w.name == name)
-            .copied()
-            .unwrap_or_else(|| panic!("trace job {id}: unknown workload {name:?}"));
-        JobSpec {
-            id: id as u32,
-            workload,
-            taxon: Taxon {
-                class: JobClass::ALL[class_idx],
-                signature,
-            },
-            arrival_s: f64::from_bits(arrival_bits),
-            slo_tightness: f64::from_bits(slo_bits),
-            seed,
-        }
     }
 
     /// Reads the next non-empty line, or `None` at end of file.
@@ -734,6 +760,7 @@ impl TraceCursor {
             if n == 0 {
                 return None;
             }
+            self.line_no += 1;
             if !line.trim().is_empty() {
                 return Some(line);
             }
@@ -747,7 +774,10 @@ impl ArrivalCursor for TraceCursor {
             return None;
         }
         let line = self.next_line()?;
-        let job = self.parse_line(&line, self.pos);
+        // `open` validated every line, so this fails only if the file
+        // was changed underneath the cursor.
+        let job = parse_trace_line(&line, self.pos, &self.pool)
+            .unwrap_or_else(|e| panic!("trace line {} changed after open: {e}", self.line_no));
         self.pos += 1;
         Some(job)
     }
@@ -780,6 +810,7 @@ impl ArrivalCursor for TraceCursor {
         let file = std::fs::File::open(&self.path)
             .map_err(|_| CheckpointError::Corrupt("trace file vanished before resume"))?;
         self.reader = io::BufReader::new(file);
+        self.line_no = 0;
         self.pos = 0;
         for _ in 0..s.pos {
             if self.next_line().is_none() {

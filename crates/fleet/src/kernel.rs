@@ -537,7 +537,9 @@ pub struct KernelStats {
     pub messages: u64,
     /// Barrier advances of the execution plane.
     pub advances: u64,
-    /// Advances that fanned shards out across OS threads.
+    /// Always 0. Barrier advances are serial; the field is kept so
+    /// existing readers of the counter still compile, and is slated for
+    /// removal.
     pub par_advances: u64,
 }
 
@@ -692,7 +694,6 @@ pub struct ResidentKernel<'a, 'r> {
     profiles: ProfileTable,
     state: ClusterState<'a>,
     shards: ShardSet,
-    workers: usize,
     stats: KernelStats,
     feedback: Option<ServiceFeedback>,
     train_time_s: f64,
@@ -841,7 +842,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         // every board mutation below, so picks stop scanning O(boards).
         state.rebuild_dispatch_index();
         let shards = ShardSet::new(n_boards, sim.params.shards);
-        let workers = sim.params.shard_workers.max(1);
         let stats = KernelStats {
             shards: shards.len() as u32,
             ..KernelStats::default()
@@ -900,7 +900,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             profiles,
             state,
             shards,
-            workers,
             stats,
             feedback,
             train_time_s: 0.0,
@@ -946,7 +945,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             profiles,
             state,
             shards,
-            workers,
             stats,
             feedback,
             train_time_s,
@@ -1003,7 +1001,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             let delta = shards.advance_all(
                 &mut state.boards,
                 f64::INFINITY,
-                *workers,
                 &AdvanceCtx {
                     exec,
                     progs: &*progs,
@@ -1013,7 +1010,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                 },
             );
             telemetry.lap_advance(wall);
-            let parallel = shards.last_parallel;
             let wall = telemetry.stopwatch();
             fold_delta(
                 delta,
@@ -1025,7 +1021,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                 &mut **telemetry,
                 from_s,
                 f64::INFINITY,
-                parallel,
                 *retain,
                 &mut *stream,
             );
@@ -1041,7 +1036,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         let delta = shards.advance_all(
             &mut state.boards,
             time_s,
-            *workers,
             &AdvanceCtx {
                 exec,
                 progs: &*progs,
@@ -1051,7 +1045,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             },
         );
         telemetry.lap_advance(wall);
-        let parallel = shards.last_parallel;
         let wall = telemetry.stopwatch();
         fold_delta(
             delta,
@@ -1063,12 +1056,11 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             &mut **telemetry,
             from_s,
             time_s,
-            parallel,
             *retain,
             &mut *stream,
         );
         telemetry.lap_merge(wall);
-        debug_assert!(
+        assert!(
             time_s >= state.now_s - 1e-9,
             "virtual clock ran backwards: {} -> {}",
             state.now_s,
@@ -1452,7 +1444,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         self.telemetry.lap_total(self.wall_run);
         self.stats.messages = self.shards.messages;
         self.stats.advances = self.shards.advances;
-        self.stats.par_advances = self.shards.par_advances;
         assert_eq!(self.open, 0, "kernel exited with open jobs");
         assert_eq!(
             self.stats.arrivals,
@@ -1530,7 +1521,9 @@ fn enc_kernel_stats(enc: &mut Enc, s: &KernelStats) {
     enc.u32(s.shards);
     enc.u64(s.messages);
     enc.u64(s.advances);
-    enc.u64(s.par_advances);
+    // The retired fanned-out advance counter keeps its slot so the
+    // image format stays at version 1; it is always 0.
+    enc.u64(0);
 }
 
 fn dec_kernel_stats(dec: &mut Dec<'_>) -> Result<KernelStats, CheckpointError> {
@@ -1550,7 +1543,12 @@ fn dec_kernel_stats(dec: &mut Dec<'_>) -> Result<KernelStats, CheckpointError> {
         shards: dec.u32()?,
         messages: dec.u64()?,
         advances: dec.u64()?,
-        par_advances: dec.u64()?,
+        // Retired slot: images from kernels that fanned out may hold a
+        // count here; it is read and discarded.
+        par_advances: {
+            dec.u64()?;
+            0
+        },
     };
     if stats.dropped != stats.dropped_no_board + stats.dropped_migration_cap {
         return Err(CheckpointError::Corrupt(
@@ -1649,7 +1647,8 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             b.encode(&mut enc);
         }
         enc.u64(self.shards.advances);
-        enc.u64(self.shards.par_advances);
+        // Retired fanned-out advance slot (see `enc_kernel_stats`).
+        enc.u64(0);
         enc.u64(self.shards.messages);
         enc_chaos_stats(&mut enc, &self.chaos_stats);
         match &self.feedback {
@@ -1739,7 +1738,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             }
         }
         let advances = dec.u64()?;
-        let par_advances = dec.u64()?;
+        dec.u64()?; // retired fanned-out advance slot
         let messages = dec.u64()?;
         let chaos_stats = dec_chaos_stats(&mut dec, &self.chaos.stats)?;
         let feedback = if dec.bool()? {
@@ -1802,8 +1801,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         self.stats = stats;
         self.shards = ShardSet::new(n_boards, self.sim.params.shards);
         self.shards.restore_completions(&self.state.boards);
-        self.shards
-            .restore_counters(advances, par_advances, messages);
+        self.shards.restore_counters(advances, messages);
         self.chaos_stats = chaos_stats;
         self.feedback = feedback;
         *self.cache = cache;
@@ -2388,11 +2386,10 @@ fn fold_delta(
     telemetry: &mut FlightRecorder,
     from_s: f64,
     to_s: f64,
-    parallel: bool,
     retain: bool,
     stream: &mut Option<StreamAgg>,
 ) {
-    // Shard threads mutate board state (completions pop queues and
+    // Shard advances mutate board state (completions pop queues and
     // start successors) outside the control plane's view; the boards
     // they touched are exactly the outcome boards, so the dispatch
     // index is repaired here, at the barrier, before any decision
@@ -2417,7 +2414,7 @@ fn fold_delta(
             })
             .collect();
         recs.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
-        telemetry.on_window(from_s, to_s, parallel, &recs);
+        telemetry.on_window(from_s, to_s, &recs);
     }
     if let Some(agg) = stream {
         // The shard fold concatenates per-shard outcome runs, whose
@@ -2447,6 +2444,25 @@ fn fold_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn retired_par_advances_slot_is_read_and_discarded() {
+        let stats = KernelStats {
+            advances: 9,
+            messages: 4,
+            ..KernelStats::default()
+        };
+        let mut enc = Enc::new();
+        enc_kernel_stats(&mut enc, &stats);
+        let mut bytes = enc.finish();
+        let n = bytes.len();
+        assert_eq!(bytes[n - 8..], [0; 8], "new images write 0");
+        // An image from a kernel that fanned out holds a count there.
+        bytes[n - 8..].copy_from_slice(&9319u64.to_le_bytes());
+        let back = dec_kernel_stats(&mut Dec::new(&bytes)).unwrap();
+        assert_eq!(back.par_advances, 0);
+        assert_eq!((back.advances, back.messages), (9, 4));
+    }
 
     #[test]
     fn event_queue_orders_by_time_then_push() {
@@ -2600,7 +2616,6 @@ mod tests {
         k.shards = 0;
         k.messages = 0;
         k.advances = 0;
-        k.par_advances = 0;
         format!(
             "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{}",
             out.metrics,
@@ -2613,6 +2628,25 @@ mod tests {
             out.train_time_s.to_bits(),
             out.train_energy_j.to_bits(),
         )
+    }
+
+    /// A stream that goes back in time stops the run in every build
+    /// profile instead of being simulated as time travel.
+    #[test]
+    #[should_panic(expected = "virtual clock ran backwards")]
+    fn stream_going_back_in_time_is_rejected() {
+        let cluster = ClusterSpec::heterogeneous(2);
+        let mut jobs = ArrivalProcess::Poisson {
+            rate_jobs_per_s: 9_000.0,
+        }
+        .generate(4, &ckpt_pool(), InputSize::Test, (4.0, 8.0), 7);
+        jobs.reverse();
+        FleetSim::new(&cluster, ckpt_params(1)).run(
+            &jobs,
+            &mut PhaseAware::default(),
+            &mut PolicyCache::new(8),
+            &Scenario::online(PolicyMode::Cold),
+        );
     }
 
     #[test]

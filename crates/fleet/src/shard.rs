@@ -8,11 +8,11 @@
 //! events (arrival, monitor tick, churn) every completion is purely
 //! board-local — a board finishing a job only pops its own queue and
 //! starts its own next job — so the shards advance *independently* to
-//! the next control timestamp, fanned out across OS threads (the same
-//! scoped-thread pattern as [`chunked_map`](crate::sim::chunked_map))
-//! when the pending window is deep enough to pay for the fan-out, and
-//! their results are folded back in shard order at a **barrier
-//! merge**.
+//! the next control timestamp, one after another on the control
+//! thread, and their results are folded back in shard order at a
+//! **barrier merge**. The advance window between two control events
+//! holds about one completion at fleet scale, far too little to pay
+//! for handing shards to other threads, so the advance is serial.
 //!
 //! Control decisions that target a board — an arrival dispatched to
 //! it, a preemptive migration landing on it, churn redistribution off
@@ -131,11 +131,10 @@ impl AdvanceDelta {
 }
 
 /// Everything a shard needs to advance: the execution backend, the
-/// compiled programs, source modules and board specs. All shared
-/// read-only across shard threads.
+/// compiled programs, source modules and board specs. All read-only.
 pub(crate) struct AdvanceCtx<'a> {
     /// The execution backend (answers are a pure function of the
-    /// request, whatever thread asks).
+    /// request).
     pub exec: &'a dyn Executor,
     /// Compiled binaries, populated at dispatch time.
     pub progs: &'a ProgramSet,
@@ -148,7 +147,7 @@ pub(crate) struct AdvanceCtx<'a> {
 }
 
 /// Shard bookkeeping: the board partition, one completion
-/// [`EventQueue`] per shard, and fan-out accounting.
+/// [`EventQueue`] per shard, and advance/message accounting.
 pub struct ShardSet {
     /// Boards per shard (the last shard may own fewer).
     chunk: usize,
@@ -163,20 +162,9 @@ pub struct ShardSet {
     earliest_s: f64,
     /// Barrier advances performed.
     pub advances: u64,
-    /// Advances that fanned out across OS threads (the rest ran the
-    /// shards serially — cheaper when the pending window is shallow).
-    pub par_advances: u64,
     /// [`ShardMsg`]s delivered to shards.
     pub messages: u64,
-    /// Did the most recent `advance_all` fan out across OS threads?
-    /// Read by the flight recorder to label advance spans; purely
-    /// descriptive — the merge result is identical either way.
-    pub last_parallel: bool,
 }
-
-/// Minimum pending completion events (summed over shards) before a
-/// bulk advance pays for spawning one thread per shard.
-const PAR_MIN_PENDING: usize = 256;
 
 impl ShardSet {
     /// Partition `n_boards` into `shards` contiguous chunks.
@@ -189,9 +177,7 @@ impl ShardSet {
             queues: (0..n_shards).map(|_| EventQueue::new()).collect(),
             earliest_s: f64::INFINITY,
             advances: 0,
-            par_advances: 0,
             messages: 0,
-            last_parallel: false,
         }
     }
 
@@ -275,29 +261,23 @@ impl ShardSet {
             .fold(f64::INFINITY, f64::min);
     }
 
-    /// Restore the fan-out accounting carried across a checkpoint
-    /// (the queues themselves are rebuilt by
+    /// Restore the advance/message accounting carried across a
+    /// checkpoint (the queues themselves are rebuilt by
     /// [`ShardSet::restore_completions`]).
-    pub(crate) fn restore_counters(&mut self, advances: u64, par_advances: u64, messages: u64) {
+    pub(crate) fn restore_counters(&mut self, advances: u64, messages: u64) {
         self.advances = advances;
-        self.par_advances = par_advances;
         self.messages = messages;
     }
 
     /// Advance every shard's completion chain to `to_s` (exclusive) and
-    /// fold the per-shard deltas in shard order. `workers > 1` fans the
-    /// shards out across OS threads when the pending window is deep
-    /// enough; the result is identical either way — shards touch
-    /// disjoint board slices and the merge order is fixed.
+    /// fold the per-shard deltas in shard order.
     pub(crate) fn advance_all(
         &mut self,
         boards: &mut [BoardState],
         to_s: f64,
-        workers: usize,
         ctx: &AdvanceCtx<'_>,
     ) -> AdvanceDelta {
         self.advances += 1;
-        self.last_parallel = false;
         // Fast path: nothing pending strictly before the horizon on
         // any shard — the common case between back-to-back arrivals.
         if self.earliest_s >= to_s {
@@ -305,31 +285,12 @@ impl ShardSet {
         }
         let chunk = self.chunk;
         let mut merged = AdvanceDelta::default();
-        if workers > 1 && self.queues.len() > 1 && self.pending() >= PAR_MIN_PENDING {
-            self.par_advances += 1;
-            self.last_parallel = true;
-            let deltas: Vec<AdvanceDelta> = std::thread::scope(|scope| {
-                let handles: Vec<_> = boards
-                    .chunks_mut(chunk)
-                    .zip(self.queues.iter_mut())
-                    .enumerate()
-                    .map(|(s, (slice, queue))| {
-                        scope.spawn(move || advance_shard(s * chunk, slice, queue, to_s, ctx))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for d in deltas {
-                merged.fold(d);
-            }
-        } else {
-            for (s, (slice, queue)) in boards
-                .chunks_mut(chunk)
-                .zip(self.queues.iter_mut())
-                .enumerate()
-            {
-                merged.fold(advance_shard(s * chunk, slice, queue, to_s, ctx));
-            }
+        for (s, (slice, queue)) in boards
+            .chunks_mut(chunk)
+            .zip(self.queues.iter_mut())
+            .enumerate()
+        {
+            merged.fold(advance_shard(s * chunk, slice, queue, to_s, ctx));
         }
         // Re-establish the exact bound after pops and chained starts.
         self.earliest_s = self

@@ -96,9 +96,9 @@ pub struct FleetParams {
     /// byte-identical for every value; `1` (the default) is the
     /// single-loop PR 4 kernel. Must be at least 1.
     pub shards: usize,
-    /// OS threads shard advances may fan out across (`1` = always
-    /// serial). Purely a wall-clock knob: results are identical for
-    /// every value. Defaults to the machine's available parallelism.
+    /// Has no effect: barrier advances always run serially on the
+    /// control thread. Kept so existing callers that set it still
+    /// compile, and slated for removal. Defaults to 1.
     pub shard_workers: usize,
     /// Base seed (profiles and training derive from it).
     pub seed: u64,
@@ -130,9 +130,7 @@ impl FleetParams {
             refresh_episodes: 2,
             latency_guard: 1.01,
             shards: 1,
-            shard_workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            shard_workers: 1,
             seed,
         }
     }

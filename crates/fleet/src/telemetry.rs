@@ -30,18 +30,17 @@
 //!    reproducible.
 //!
 //! **The determinism argument.** Every hook runs on the sequential
-//! control plane (never inside a shard advance, which may fan out
-//! across worker threads); hooks *read* kernel state and *write* only
-//! recorder state; and completion-derived telemetry is taken at the
-//! barrier merge after sorting the fold's completions by
-//! `(finish_s, id)` — within one merge the order is pinned, and
-//! successive advance windows are disjoint and increasing, so the
-//! completion event stream is globally monotone in sim time for every
-//! shard count. The kernel's simulation state never branches on the
-//! recorder, so outcomes are bitwise identical with tracing on or off
-//! (pinned by the `proptest_telemetry` suite). The off path costs one
-//! branch per hook: every hook is `#[inline]` and returns immediately
-//! unless its [`TraceLevel`] is enabled.
+//! control plane (never inside a shard advance); hooks *read* kernel
+//! state and *write* only recorder state; and completion-derived
+//! telemetry is taken at the barrier merge after sorting the fold's
+//! completions by `(finish_s, id)` — within one merge the order is
+//! pinned, and successive advance windows are disjoint and increasing,
+//! so the completion event stream is globally monotone in sim time for
+//! every shard count. The kernel's simulation state never branches on
+//! the recorder, so outcomes are bitwise identical with tracing on or
+//! off (pinned by the `proptest_telemetry` suite). The off path costs
+//! one branch per hook: every hook is `#[inline]` and returns
+//! immediately unless its [`TraceLevel`] is enabled.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -109,8 +108,8 @@ pub const DIGEST_BUCKETS: usize = 640;
 /// `exact <= estimate <= exact * DIGEST_GROWTH` for any sample set
 /// within `[DIGEST_FLOOR, DIGEST_FLOOR * DIGEST_GROWTH^DIGEST_BUCKETS]`.
 /// The histogram is a pure function of the *multiset* of samples, so
-/// the stream order (which may differ in wall time across shard
-/// fan-outs) cannot change any answer.
+/// the stream order (which may differ across shard counts) cannot
+/// change any answer.
 #[derive(Clone)]
 pub struct QuantileDigest {
     counts: Vec<u64>,
@@ -462,13 +461,7 @@ impl FlightRecorder {
     /// infinite on the final drain). Emits the advance span, feeds the
     /// streaming digests, and emits per-completion instants at
     /// [`TraceLevel::Full`].
-    pub(crate) fn on_window(
-        &mut self,
-        from_s: f64,
-        to_s: f64,
-        parallel: bool,
-        recs: &[CompletionRecord],
-    ) {
+    pub(crate) fn on_window(&mut self, from_s: f64, to_s: f64, recs: &[CompletionRecord]) {
         debug_assert!(self.enabled(), "on_window called on a disabled recorder");
         if recs.is_empty() {
             return;
@@ -480,11 +473,7 @@ impl FlightRecorder {
         };
         if self.wants_spans() {
             self.events.push(TraceEvent {
-                name: if parallel {
-                    "advance (parallel)".to_string()
-                } else {
-                    "advance".to_string()
-                },
+                name: "advance".to_string(),
                 cat: "shard",
                 ts_us: from_s * 1e6,
                 dur_us: (end_s - from_s).max(0.0) * 1e6,
@@ -1100,19 +1089,19 @@ mod tests {
             workload: "w",
         }];
         let mut ticks = FlightRecorder::new(TraceLevel::Ticks);
-        ticks.on_window(1.0, 3.0, false, &recs);
+        ticks.on_window(1.0, 3.0, &recs);
         ticks.on_dispatch(1.0, 7, "w", 1, 0.4);
         assert!(ticks.events().is_empty(), "ticks level emits no events");
         assert_eq!(ticks.completions(), 1);
         assert_eq!(ticks.latency_digest().count(), 1);
 
         let mut spans = FlightRecorder::new(TraceLevel::Spans);
-        spans.on_window(1.0, 3.0, false, &recs);
+        spans.on_window(1.0, 3.0, &recs);
         spans.on_dispatch(1.0, 7, "w", 1, 0.4);
         assert_eq!(spans.events().len(), 1, "advance span only");
 
         let mut full = FlightRecorder::new(TraceLevel::Full);
-        full.on_window(1.0, 3.0, false, &recs);
+        full.on_window(1.0, 3.0, &recs);
         full.on_dispatch(3.0, 8, "w", 1, 0.4);
         assert_eq!(full.events().len(), 3, "advance + completion + dispatch");
         assert!(full.timestamps_monotone());
@@ -1129,7 +1118,7 @@ mod tests {
             board: 0,
             workload: "swap\"tions", // exercises escaping
         };
-        r.on_window(0.0, 1.5, true, &[rec(0, 0.5, 1.0), rec(1, 2.0, 1.0)]);
+        r.on_window(0.0, 1.5, &[rec(0, 0.5, 1.0), rec(1, 2.0, 1.0)]);
         r.on_tick(WindowSample {
             t_s: 2.0,
             completions: r.completions(),

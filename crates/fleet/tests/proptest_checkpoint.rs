@@ -39,14 +39,13 @@ fn dispatcher(pick: u8) -> Box<dyn Dispatcher> {
 /// Everything the determinism contract pins across shard counts:
 /// retained outcomes (bitwise), drops, metrics, streaming aggregates,
 /// chaos/cache/feedback accounting — with the execution-plane counters
-/// (`shards`, `messages`, `advances`, `par_advances`) zeroed, since
+/// (`shards`, `messages`, `advances`) zeroed, since
 /// those vary with K by design.
 fn fingerprint(out: &FleetOutcome) -> String {
     let mut k = out.kernel;
     k.shards = 0;
     k.messages = 0;
     k.advances = 0;
-    k.par_advances = 0;
     let mut per_job = String::new();
     for o in &out.outcomes {
         per_job.push_str(&format!(

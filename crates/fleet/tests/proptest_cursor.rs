@@ -326,3 +326,67 @@ fn trace_round_trip_is_bitwise_lossless() {
 
     std::fs::remove_file(&path).ok();
 }
+
+/// A trace file is untrusted input: every way a line can be invalid
+/// is an `InvalidData` error from `open` that names the line (blank
+/// lines count), never a panic mid-run.
+#[test]
+fn trace_open_rejects_invalid_lines_with_their_number() {
+    let l = |name: &str, arrival: f64, slo: f64, rest: &str| {
+        let (a, s) = (arrival.to_bits(), slo.to_bits());
+        format!("{name} {a:016x} {s:016x} {rest}\n")
+    };
+    let ok = l("bfs", 1.0, 4.0, "7 0 3");
+    let (time, slo) = ("finite and non-negative", "finite and positive");
+    // (file body, line number named, message fragment)
+    let cases: Vec<(String, usize, &str)> = vec![
+        (l("bfs", f64::NAN, 4.0, "7 0 3"), 1, time),
+        (l("bfs", f64::INFINITY, 4.0, "7 0 3"), 1, time),
+        (l("bfs", -0.5, 4.0, "7 0 3"), 1, time),
+        (
+            ok.clone() + &l("bfs", 0.5, 4.0, "7 0 3"),
+            2,
+            "before the previous",
+        ),
+        (l("bfs", 1.0, f64::NAN, "7 0 3"), 1, slo),
+        (l("bfs", 1.0, f64::INFINITY, "7 0 3"), 1, slo),
+        (l("bfs", 1.0, 0.0, "7 0 3"), 1, slo),
+        (l("bfs", 1.0, -4.0, "7 0 3"), 1, slo),
+        (
+            "bfs zz 4010000000000000 7 0 3\n".into(),
+            1,
+            "bad arrival bits",
+        ),
+        ("bfs 3ff0000000000000 -1 7 0 3\n".into(), 1, "bad slo bits"),
+        (l("bfs", 1.0, 4.0, "x7 0 3"), 1, "bad seed"),
+        (l("bfs", 1.0, 4.0, "7 -1 3"), 1, "bad class index"),
+        (l("bfs", 1.0, 4.0, "7 0 256"), 1, "bad signature"),
+        (l("bfs", 1.0, 4.0, "7 99 3"), 1, "out of range"),
+        (
+            ok.clone() + "\n" + &l("nosuch", 2.0, 4.0, "7 0 3"),
+            3,
+            "unknown workload",
+        ),
+        (l("bfs", 1.0, 4.0, "7 0"), 1, "missing signature"),
+        (l("bfs", 1.0, 4.0, "7 0 3 9"), 1, "trailing field"),
+    ];
+    let path = std::env::temp_dir().join(format!("astro_fleet_bad_{}.txt", std::process::id()));
+    for (body, ln, fragment) in &cases {
+        std::fs::write(&path, body).unwrap();
+        let Err(err) = TraceCursor::open(&path) else {
+            panic!("accepted invalid trace {body:?}");
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{body:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with(&format!("trace line {ln}: ")) && msg.contains(fragment),
+            "{body:?} gave {msg:?}, want line {ln} and {fragment:?}"
+        );
+    }
+    // The valid line itself opens and replays.
+    std::fs::write(&path, ok.repeat(2)).unwrap();
+    let mut cursor = TraceCursor::open(&path).unwrap();
+    assert_eq!(cursor.total(), 2);
+    assert_eq!(cursor.next_job().unwrap().seed, 7);
+    std::fs::remove_file(&path).ok();
+}

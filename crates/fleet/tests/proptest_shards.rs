@@ -58,15 +58,13 @@ fn fingerprint(out: &FleetOutcome) -> Vec<u64> {
     fp
 }
 
-/// The multi-threaded advance branch only engages past
-/// `PAR_MIN_PENDING` pending completions, and pending is bounded by
-/// the board count — so small-cluster tests always take the serial
-/// branch. This test builds a cluster big enough (300 boards, a
-/// near-simultaneous burst filling every board) that the fan-out
-/// genuinely runs, asserts it ran (`par_advances > 0`), and checks
-/// the result is byte-identical to the all-serial execution.
+/// Deep advance windows: a near-simultaneous burst over 300 boards
+/// leaves hundreds of completions pending at once, so the barrier
+/// merges fold many completions from every shard per window. Shard
+/// counts 1, 4 and 7 (a ragged final chunk) must agree bit for bit,
+/// and no advance is ever counted as fanned out.
 #[test]
-fn threaded_advance_branch_runs_and_matches_serial() {
+fn deep_window_burst_matches_across_shard_counts() {
     let cluster = ClusterSpec::heterogeneous(300);
     let jobs = ArrivalProcess::Bursty {
         rate_jobs_per_s: 2_000_000.0,
@@ -76,29 +74,25 @@ fn threaded_advance_branch_runs_and_matches_serial() {
     .generate(600, &pool(), InputSize::Test, (4.0, 8.0), 11);
     let scenario = Scenario::online(PolicyMode::Cold);
 
-    let run = |workers: usize| {
+    let run = |shards: usize| {
         let mut params = FleetParams::new(11);
         params.backend = astro_fleet::BackendKind::Replay;
-        params.shards = 4;
-        params.shard_workers = workers;
+        params.shards = shards;
         let sim = FleetSim::new(&cluster, params);
         let mut cache = PolicyCache::new(0);
         sim.run(&jobs, &mut LeastLoaded, &mut cache, &scenario)
     };
 
-    let serial = run(1);
-    let threaded = run(4);
-    assert_eq!(serial.kernel.par_advances, 0, "workers=1 must stay serial");
-    assert!(
-        threaded.kernel.par_advances > 0,
-        "300 busy boards must cross the fan-out threshold: {:?}",
-        threaded.kernel
-    );
-    assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&threaded),
-        "threaded shard advance diverged from serial"
-    );
+    let outs: Vec<FleetOutcome> = [1, 4, 7].into_iter().map(run).collect();
+    for (out, k) in outs.iter().zip([1u32, 4, 7]) {
+        assert_eq!(out.kernel.shards, k);
+        assert_eq!(out.kernel.par_advances, 0, "advances are serial");
+        assert_eq!(
+            fingerprint(&outs[0]),
+            fingerprint(out),
+            "shards {k} diverged from shards 1 on deep windows"
+        );
+    }
 }
 
 proptest! {
