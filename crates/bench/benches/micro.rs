@@ -305,10 +305,12 @@ fn bench_shard_window(c: &mut Criterion) {
 /// The arrival-time hot path the PR 8 rewrite holds flat: one
 /// dispatcher decision over a dense 500-board fleet. `PhaseAware::pick`
 /// walks every placeable board twice (finish-time argmin, then the
-/// tie-band scan) against the per-board estimate arrays, with zero
-/// allocation — the scratch vector inside the dispatcher is reused
-/// across calls. A 1M-job run makes this decision a million times, so
-/// ns here are seconds there.
+/// tie-band scan), reading estimates through their board→class map,
+/// with zero allocation — the scratch vector inside the dispatcher is
+/// reused across calls. The estimates carry one class per board so
+/// each board has its own values (the scan accepts any class map). A
+/// 1M-job run makes this decision a million times, so ns here are
+/// seconds there.
 fn bench_dispatch_pick(c: &mut Criterion) {
     use astro_fleet::{
         ClusterSpec, ClusterState, DispatchMode, Dispatcher, JobClass, JobEstimates, JobSpec,
@@ -324,9 +326,7 @@ fn bench_dispatch_pick(c: &mut Criterion) {
     let mut est = JobEstimates::zeroed(N);
     for b in 0..N {
         let x = ((b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as f64 / 16777216.0;
-        est.service_s[b] = 0.5 + x;
-        est.energy_j[b] = 1.0 + x * 3.0;
-        est.warm[b] = b % 3 == 0;
+        est.set_class(b, 0.5 + x, 1.0 + x * 3.0, b % 3 == 0);
     }
     let job = JobSpec {
         id: 0,
@@ -350,9 +350,8 @@ fn bench_dispatch_pick(c: &mut Criterion) {
 /// maintained dispatch index. Where the dense bench walks every board
 /// twice, this touches the per-architecture ordered-set heads plus the
 /// head equal-finish groups — O(log B) — so the number here should be
-/// flat in fleet size, not linear. Estimates are architecture-fanned
-/// (identical per arch class), matching the kernel's estimate path —
-/// the contract the indexed pick assumes.
+/// flat in fleet size, not linear. Estimates are held per architecture
+/// class, the shape the kernel hands out and the indexed pick asserts.
 fn bench_dispatch_pick_indexed(c: &mut Criterion) {
     use astro_fleet::{
         ClusterSpec, ClusterState, DispatchMode, Dispatcher, JobClass, JobEstimates, JobSpec,
@@ -368,12 +367,10 @@ fn bench_dispatch_pick_indexed(c: &mut Criterion) {
         state.seed_oracle_backlog(b, 10.0 + x * 30.0);
     }
     state.rebuild_dispatch_index();
-    let mut est = JobEstimates::zeroed(N);
-    for b in 0..N {
-        est.service_s[b] = [0.8, 1.2][b % 2];
-        est.energy_j[b] = [2.5, 1.0][b % 2];
-        est.warm[b] = b % 2 == 0;
-    }
+    // Heterogeneous fleets alternate XU4 (class 0) and RK3399 (class 1).
+    let mut est = JobEstimates::per_arch(&cluster);
+    est.set_class(0, 0.8, 2.5, true);
+    est.set_class(1, 1.2, 1.0, false);
     let job = JobSpec {
         id: 0,
         workload: astro_workloads::by_name("swaptions").unwrap(),

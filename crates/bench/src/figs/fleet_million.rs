@@ -6,8 +6,8 @@
 //! funnelled every board's events through one heap, so wall-clock
 //! grew with board count; the sharded kernel partitions board state
 //! into `K` shards advanced between control events and merged at
-//! barriers, and its per-arrival estimate work is O(architectures)
-//! instead of O(boards). The figure runs the same scenario twice —
+//! barriers, and it holds each arrival's estimates once per
+//! architecture. The figure runs the same scenario twice —
 //! `--shards 1` (the PR 4 single-loop kernel, byte-for-byte) and
 //! `--shards K` — then:
 //!
@@ -38,26 +38,31 @@ use std::time::Instant;
 /// figure's hot path to within [`PERF_GATE_TOLERANCE`] of it.
 const PR8_QUICK_BASELINE_JPS: f64 = 350_000.0;
 
-/// Telemetry-off simulation throughput recorded for PR 9 in
-/// `BENCH_fleet.json` under the CI mid configuration (`--gate
-/// --shards 8`: 200k jobs, 2000 boards, replay backend). Before the
-/// indexed dispatch path this configuration was dominated by the
-/// O(boards) pick per arrival; the gate holds the O(log B) claim at a
-/// board count where backsliding to a linear pick would roughly halve
-/// the number.
-const PR9_GATE_BASELINE_JPS: f64 = 140_000.0;
+/// Telemetry-off simulation throughput baseline for the CI mid
+/// configuration (`--gate --shards 8`: 200k jobs, 2000 boards, replay
+/// backend), set from the runs recorded with per-architecture
+/// estimates in `BENCH_fleet.json`. On a 2-core container ten runs
+/// (five under `taskset -c 0`) read 368.7k-511.9k jobs/s, medians
+/// 495.1k unpinned and 489.8k pinned. The baseline is deliberately
+/// below those: its floor, ~150k after [`GATE_TOLERANCE`], sits above
+/// the 125.3k recorded before estimates went per architecture and
+/// below 0.75x the slowest run since, so host swings of 1.5-2.3x do
+/// not trip it. At 2000 boards the gate catches an indexed pick
+/// backsliding into a linear scan (~3x slower); a return of the
+/// per-board estimate copy (~2x) is guarded deterministically by the
+/// kernel test `estimate_scratch_is_per_architecture_not_per_board`.
+const GATE_BASELINE_JPS: f64 = 215_000.0;
 
 /// The `--gate` CI configuration (jobs, boards) —
-/// [`PR9_GATE_BASELINE_JPS`] was measured here, so the gate compares
+/// [`GATE_BASELINE_JPS`] was set from runs here, so the gate compares
 /// against it for exactly this shape and the quick baseline otherwise.
 const GATE_CONFIG: (usize, usize) = (200_000, 2_000);
 
 /// Allowed fractional regression for the `--gate` leg. Wider than
-/// [`PERF_GATE_TOLERANCE`]: the leg runs ~1.5 s of wall on the
-/// single-core CI container, where neighbour bursts are worth -35% on
-/// a bad sample, and the regression this gate exists to catch — the
-/// indexed pick backsliding into a linear scan — costs ~3x at 2000
-/// boards (to ~50k jobs/s, far below the floor this leaves).
+/// [`PERF_GATE_TOLERANCE`]: the leg runs under a second of wall on a
+/// small CI container, where neighbour bursts are worth -35% on a bad
+/// sample, and the regression this gate exists to catch — the indexed
+/// pick backsliding into a linear scan — costs ~3x at 2000 boards.
 const GATE_TOLERANCE: f64 = 0.30;
 
 /// Allowed fractional regression against the selected baseline
@@ -260,7 +265,7 @@ pub fn run(
     // indexed dispatch path at 2000 boards).
     let jps_off = n_jobs as f64 / wall_k;
     let (baseline, baseline_name, tolerance) = if (n_jobs, n_boards) == GATE_CONFIG {
-        (PR9_GATE_BASELINE_JPS, "PR 9 gate", GATE_TOLERANCE)
+        (GATE_BASELINE_JPS, "gate", GATE_TOLERANCE)
     } else {
         (PR8_QUICK_BASELINE_JPS, "PR 8 quick", PERF_GATE_TOLERANCE)
     };

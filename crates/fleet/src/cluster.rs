@@ -77,13 +77,27 @@ impl ClusterSpec {
 
     /// The distinct architecture keys present, in first-appearance order.
     pub fn arch_keys(&self) -> Vec<&'static str> {
+        self.arch_classes().0
+    }
+
+    /// The board→architecture-class map: the distinct keys in
+    /// first-appearance order, and each board's index into them. The
+    /// one derivation the kernel's estimate tables, per-architecture
+    /// [`JobEstimates`](crate::dispatch::JobEstimates) and the dispatch
+    /// index all share, so their class numbering always agrees.
+    pub(crate) fn arch_classes(&self) -> (Vec<&'static str>, Vec<u32>) {
         let mut keys: Vec<&'static str> = Vec::new();
-        for b in 0..self.len() {
-            if !keys.contains(&self.arch_key(b)) {
-                keys.push(self.arch_key(b));
-            }
-        }
-        keys
+        let class_of = (0..self.len())
+            .map(|b| {
+                let k = self.arch_key(b);
+                let c = keys.iter().position(|&x| x == k).unwrap_or_else(|| {
+                    keys.push(k);
+                    keys.len() - 1
+                });
+                u32::try_from(c).expect("architecture class count fits in u32")
+            })
+            .collect();
+        (keys, class_of)
     }
 }
 
@@ -101,6 +115,9 @@ mod tests {
         // Boards sharing an arch share the key.
         assert_eq!(c.arch_key(0), c.arch_key(2));
         assert_ne!(c.arch_key(0), c.arch_key(1));
+        let (keys, class_of) = c.arch_classes();
+        assert_eq!(keys, c.arch_keys());
+        assert_eq!(class_of, [0, 1, 0, 1, 0, 1]);
     }
 
     #[test]

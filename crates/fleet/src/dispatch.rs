@@ -4,11 +4,11 @@
 //! the live [`ClusterState`] — per-board liveness, queue depth, backlog
 //! estimate (oracle accumulator or online observation, per
 //! [`DispatchMode`](crate::state::DispatchMode)), in-flight taxa and
-//! utilisation — plus this job's per-board profiled estimates
-//! ([`JobEstimates`]). They never see the future of the arrival stream,
-//! and they must place the job on a board that is currently *placeable*
-//! — up and not blacked out by an active chaos clause (see
-//! [`ClusterState::placeable`]).
+//! utilisation — plus this job's profiled estimates ([`JobEstimates`],
+//! held per architecture class and read per board). They never see the
+//! future of the arrival stream, and they must place the job on a board
+//! that is currently *placeable* — up and not blacked out by an active
+//! chaos clause (see [`ClusterState::placeable`]).
 //!
 //! Every decision made here is observable after the fact: when a
 //! [`FlightRecorder`](crate::telemetry::FlightRecorder) rides along at
@@ -22,40 +22,112 @@ use crate::index::DispatchIndex;
 use crate::job::JobSpec;
 use crate::state::ClusterState;
 
-/// Per-board estimates for the job being placed. Values are profiled
-/// per *architecture* and fanned out to boards by the kernel; when the
-/// scenario enables observed-service feedback
+/// Estimates for the job being placed, held once per *estimate class*
+/// and read per board through a board→class map. The kernel profiles
+/// per architecture, so its estimates ([`JobEstimates::per_arch`]) have
+/// one class per architecture key and an arrival writes O(architectures)
+/// values however many boards the cluster has. When the scenario
+/// enables observed-service feedback
 /// ([`Scenario::with_feedback`](crate::kernel::Scenario::with_feedback)),
 /// service estimates already carry the learned per-(taxon,
 /// architecture) correction, so every dispatcher prices decisions off
 /// what the fleet has actually observed.
 #[derive(Clone, Debug)]
 pub struct JobEstimates {
-    /// Estimated service time of *this* job on each board, seconds.
-    pub service_s: Vec<f64>,
-    /// Estimated energy of *this* job on each board, Joules.
-    pub energy_j: Vec<f64>,
-    /// Per board: does the policy cache hold a fresh entry for this
-    /// job's taxon on the board's architecture?
-    pub warm: Vec<bool>,
+    /// Estimate class of each board, fixed at construction.
+    class_of: Vec<u32>,
+    /// Estimated service time of *this* job per class, seconds.
+    service_s: Vec<f64>,
+    /// Estimated energy of *this* job per class, Joules.
+    energy_j: Vec<f64>,
+    /// Per class: does the policy cache hold a fresh entry for this
+    /// job's taxon on the class's architecture?
+    warm: Vec<bool>,
 }
 
 impl JobEstimates {
-    /// An all-zero scratch sized for `n_boards` boards. The kernel
-    /// allocates one per run and refills it in place per arrival, so
-    /// estimating costs no allocation however many jobs stream through.
+    /// All-zero estimates with one class per board, so every board can
+    /// carry its own values (class `b` is board `b`). For the scan
+    /// pick: an indexed pick asserts one class per architecture, so it
+    /// rejects these unless every board has its own architecture.
     pub fn zeroed(n_boards: usize) -> Self {
+        let class_of = (0..n_boards)
+            .map(|b| u32::try_from(b).expect("board count fits in u32"))
+            .collect();
+        Self::with_classes(class_of, n_boards)
+    }
+
+    /// All-zero estimates with one class per architecture of `cluster`,
+    /// numbered like [`ClusterSpec::arch_keys`](crate::cluster::ClusterSpec::arch_keys).
+    /// The kernel allocates one per run and refills it in place per
+    /// arrival, so estimating costs no allocation however many jobs
+    /// stream through.
+    pub fn per_arch(cluster: &crate::cluster::ClusterSpec) -> Self {
+        let (keys, class_of) = cluster.arch_classes();
+        Self::with_classes(class_of, keys.len())
+    }
+
+    fn with_classes(class_of: Vec<u32>, n_classes: usize) -> Self {
         JobEstimates {
-            service_s: vec![0.0; n_boards],
-            energy_j: vec![0.0; n_boards],
-            warm: vec![false; n_boards],
+            class_of,
+            service_s: vec![0.0; n_classes],
+            energy_j: vec![0.0; n_classes],
+            warm: vec![false; n_classes],
         }
+    }
+
+    /// Number of estimate classes.
+    pub fn n_classes(&self) -> usize {
+        self.service_s.len()
+    }
+
+    /// Class `c`'s (service seconds, energy Joules, warm) — what an
+    /// indexed pick reads for every board of architecture class `c`.
+    #[inline]
+    fn class(&self, c: usize) -> (f64, f64, bool) {
+        (self.service_s[c], self.energy_j[c], self.warm[c])
+    }
+
+    /// Set class `c`'s service time (seconds), energy (Joules) and
+    /// warm-cache bit.
+    pub fn set_class(&mut self, c: usize, service_s: f64, energy_j: f64, warm: bool) {
+        self.service_s[c] = service_s;
+        self.energy_j[c] = energy_j;
+        self.warm[c] = warm;
+    }
+
+    /// Multiply every class's service estimate by `factor` (a chaos
+    /// misprofile window corrupting what dispatch sees).
+    pub fn scale_service(&mut self, factor: f64) {
+        for s in &mut self.service_s {
+            *s *= factor;
+        }
+    }
+
+    /// Estimated service time of this job on board `b`, seconds.
+    #[inline]
+    pub fn service(&self, b: usize) -> f64 {
+        self.service_s[self.class_of[b] as usize]
+    }
+
+    /// Estimated energy of this job on board `b`, Joules.
+    #[inline]
+    pub fn energy(&self, b: usize) -> f64 {
+        self.energy_j[self.class_of[b] as usize]
+    }
+
+    /// Is the policy cache warm for this job on board `b`'s
+    /// architecture?
+    #[inline]
+    pub fn warm(&self, b: usize) -> bool {
+        self.warm[self.class_of[b] as usize]
     }
 
     /// Estimated completion time of this job on board `b` given the
     /// state's backlog estimate.
+    #[inline]
     pub fn est_finish_s(&self, state: &ClusterState, b: usize) -> f64 {
-        state.now_s + state.backlog_s(b) + self.service_s[b]
+        state.now_s + state.backlog_s(b) + self.service(b)
     }
 }
 
@@ -77,6 +149,18 @@ fn argmin_placeable(state: &ClusterState, key: impl Fn(usize) -> (f64, f64)) -> 
         .placeable_boards()
         .min_by(|&a, &b| key(a).partial_cmp(&key(b)).expect("keys are finite"))
         .expect("at least one board is placeable")
+}
+
+/// The indexed picks take each architecture class's winner from its
+/// ordered set, which is exact only when every board of a class shares
+/// one estimate: per-board estimates here would silently mis-pick.
+fn assert_per_arch(est: &JobEstimates, idx: &DispatchIndex) {
+    assert!(
+        est.n_classes() == idx.n_arch(),
+        "indexed pick needs estimates per architecture class ({} classes for {} architectures)",
+        est.n_classes(),
+        idx.n_arch()
+    );
 }
 
 /// Classic least-loaded: the live board whose backlog drains first,
@@ -191,14 +275,15 @@ pub struct EnergyAware {
 impl EnergyAware {
     /// Indexed pick. The scan's key over the feasible set (boards
     /// within `min_backlog + service` of the fleet-minimum backlog) is
-    /// `(energy, now + backlog + service, board)`; estimates are
-    /// fanned per architecture class, so within a class the energy
-    /// term is constant and the finish term is monotone in backlog —
-    /// each class's winner is in the head equal-finish group of its
-    /// ordered set (or its lowest-indexed zero-class board, which is
-    /// always feasible since its backlog is zero). The fleet-minimum
-    /// backlog itself is an order-independent `f64::min` fold, so it
-    /// is reconstructed exactly from the class heads. Stale boards go
+    /// `(energy, now + backlog + service, board)`; estimates are held
+    /// per architecture class (asserted by the caller), so within a
+    /// class the energy term is constant and the finish term is
+    /// monotone in backlog — each class's winner is in the head
+    /// equal-finish group of its ordered set (or its lowest-indexed
+    /// zero-class board, which is always feasible since its backlog is
+    /// zero). The fleet-minimum backlog itself is an order-independent
+    /// `f64::min` fold, so it is reconstructed exactly from the class
+    /// heads. Stale boards go
     /// through the per-clock view (per-architecture head equal-finish
     /// groups, with the same head-infeasibility cutoff as the ordered
     /// class) or, for small sets, an exact walk; candidates compare
@@ -223,33 +308,37 @@ impl EnergyAware {
                 }
             }
         }
+        // Boards reached through a per-architecture set take their
+        // class's estimate directly; only the small-set stale walk
+        // goes through the board→class map.
         let mut best: Option<(f64, f64, usize)> = None;
-        let consider = |best: &mut Option<(f64, f64, usize)>, b: usize| {
+        let consider = |best: &mut Option<(f64, f64, usize)>, b: usize, svc: f64, energy: f64| {
             let bl = state.backlog_s(b);
-            if bl <= min_backlog + est.service_s[b] {
-                let key = (est.energy_j[b], state.now_s + bl + est.service_s[b], b);
+            if bl <= min_backlog + svc {
+                let key = (energy, state.now_s + bl + svc, b);
                 if best.map(|k| key < k).unwrap_or(true) {
                     *best = Some(key);
                 }
             }
         };
         for a in 0..idx.n_arch() {
+            let (svc, energy, _) = est.class(a);
             if let Some(b) = idx.zero_min_arch(a) {
-                consider(&mut best, b);
+                consider(&mut best, b, svc, energy);
             }
             let mut it = idx.ordered_iter_arch(a);
             if let Some(b0) = it.next() {
                 let bl0 = state.backlog_s(b0);
                 // Backlog is non-decreasing along the class order:
                 // when the head is infeasible, so is every later board.
-                if bl0 <= min_backlog + est.service_s[b0] {
-                    let f0 = state.now_s + bl0 + est.service_s[b0];
-                    consider(&mut best, b0);
+                if bl0 <= min_backlog + svc {
+                    let f0 = state.now_s + bl0 + svc;
+                    consider(&mut best, b0, svc, energy);
                     for b in it {
-                        if state.now_s + state.backlog_s(b) + est.service_s[b] != f0 {
+                        if state.now_s + state.backlog_s(b) + svc != f0 {
                             break;
                         }
-                        consider(&mut best, b);
+                        consider(&mut best, b, svc, energy);
                     }
                 }
             }
@@ -257,11 +346,12 @@ impl EnergyAware {
         match &stale_view {
             None => {
                 for b in idx.stale_iter() {
-                    consider(&mut best, b);
+                    consider(&mut best, b, est.service(b), est.energy(b));
                 }
             }
             Some(view) => {
                 for a in 0..idx.n_arch() {
+                    let (svc, energy, _) = est.class(a);
                     let mut it = view.arch(a).iter();
                     if let Some(&(bl0, b0)) = it.next() {
                         let b0 = b0 as usize;
@@ -271,15 +361,15 @@ impl EnergyAware {
                         // constants, so the class winner is in the
                         // head equal-finish group — and when the head
                         // is infeasible, so is every later board.
-                        if bl0 <= min_backlog + est.service_s[b0] {
-                            let f0 = state.now_s + bl0 + est.service_s[b0];
-                            consider(&mut best, b0);
+                        if bl0 <= min_backlog + svc {
+                            let f0 = state.now_s + bl0 + svc;
+                            consider(&mut best, b0, svc, energy);
                             for &(bl, b) in it {
                                 let b = b as usize;
-                                if state.now_s + f64::from_bits(bl) + est.service_s[b] != f0 {
+                                if state.now_s + f64::from_bits(bl) + svc != f0 {
                                     break;
                                 }
-                                consider(&mut best, b);
+                                consider(&mut best, b, svc, energy);
                             }
                         }
                     }
@@ -306,8 +396,8 @@ impl EnergyAware {
         let mut best: Option<(f64, f64, usize)> = None;
         for b in state.placeable_boards() {
             let bl = self.backlog[b];
-            if bl <= min_backlog + est.service_s[b] {
-                let key = (est.energy_j[b], state.now_s + bl + est.service_s[b], b);
+            if bl <= min_backlog + est.service(b) {
+                let key = (est.energy(b), state.now_s + bl + est.service(b), b);
                 if best.map(|k| key < k).unwrap_or(true) {
                     best = Some(key);
                 }
@@ -325,6 +415,7 @@ impl Dispatcher for EnergyAware {
     fn pick(&mut self, state: &ClusterState, _job: &JobSpec, est: &JobEstimates) -> usize {
         match state.dispatch_index() {
             Some(idx) => {
+                assert_per_arch(est, idx);
                 let b = self.pick_indexed(state, est, idx);
                 #[cfg(feature = "pick_crosscheck")]
                 assert_eq!(
@@ -374,10 +465,11 @@ impl PhaseAware {
     }
 
     /// Indexed pick. Pass 1's effective key is `(finish, board)`;
-    /// estimates are fanned per architecture class, so within a class
-    /// the finish is monotone in backlog and the class champion is in
-    /// the head equal-finish group of its ordered set (or its
-    /// lowest-indexed zero-class board — zero backlogs tie on finish).
+    /// estimates are held per architecture class (asserted by the
+    /// caller), so within a class the finish is monotone in backlog
+    /// and the class champion is in the head equal-finish group of its
+    /// ordered set (or its lowest-indexed zero-class board — zero
+    /// backlogs tie on finish).
     /// Pass 2's key `(mismatch, cold, finish, board)` is constant per
     /// class in its first two terms, so each class's tie-band winner
     /// is its pass-1 champion when that champion makes the band — no
@@ -402,9 +494,13 @@ impl PhaseAware {
         }
         let mut overall: Option<(f64, usize)> = None;
         for a in 0..na {
+            // Boards from this class's sets share its estimate (the
+            // same sum `JobEstimates::est_finish_s` forms).
+            let (svc, _, _) = est.class(a);
+            let finish = |b: usize| state.now_s + state.backlog_s(b) + svc;
             let mut c: Option<(f64, usize)> = None;
             let consider = |c: &mut Option<(f64, usize)>, b: usize| {
-                let key = (est.est_finish_s(state, b), b);
+                let key = (finish(b), b);
                 if c.map(|k| key < k).unwrap_or(true) {
                     *c = Some(key);
                 }
@@ -414,10 +510,10 @@ impl PhaseAware {
             }
             let mut it = idx.ordered_iter_arch(a);
             if let Some(b0) = it.next() {
-                let f0 = est.est_finish_s(state, b0);
+                let f0 = finish(b0);
                 consider(&mut c, b0);
                 for b in it {
-                    if est.est_finish_s(state, b) != f0 {
+                    if finish(b) != f0 {
                         break;
                     }
                     consider(&mut c, b);
@@ -432,11 +528,11 @@ impl PhaseAware {
                 let mut it = view.arch(a).iter();
                 if let Some(&(_, b0)) = it.next() {
                     let b0 = b0 as usize;
-                    let f0 = est.est_finish_s(state, b0);
+                    let f0 = finish(b0);
                     let mut k = (f0, b0);
                     for &(_, b) in it {
                         let b = b as usize;
-                        if est.est_finish_s(state, b) != f0 {
+                        if finish(b) != f0 {
                             break;
                         }
                         if b < k.1 {
@@ -464,21 +560,21 @@ impl PhaseAware {
             }
         }
         let (best_finish, overall_b) = overall.expect("at least one board is placeable");
-        let tie_band = 0.02 * est.service_s[overall_b];
+        let tie_band = 0.02 * est.service(overall_b);
         let thresh = best_finish + tie_band;
         let prefers_big = Self::prefers_big(job);
-        let full_key = |b: usize, f: f64| {
+        let full_key = |b: usize, f: f64, warm: bool| {
             let mismatch = match prefers_big {
                 Some(big) => (state.spec.big_rich(b) != big) as u8 as f64,
                 None => 0.0,
             };
-            (mismatch, !est.warm[b] as u8 as f64, f, b as f64)
+            (mismatch, !warm as u8 as f64, f, b as f64)
         };
         let mut best: Option<((f64, f64, f64, f64), usize)> = None;
         for a in 0..na {
             if let Some((f, b)) = self.champ[a] {
                 if f <= thresh {
-                    let key = full_key(b, f);
+                    let key = full_key(b, f, est.class(a).2);
                     if best.map(|(k, _)| key < k).unwrap_or(true) {
                         best = Some((key, b));
                     }
@@ -492,7 +588,7 @@ impl PhaseAware {
             for b in idx.stale_iter() {
                 let f = est.est_finish_s(state, b);
                 if f <= thresh {
-                    let key = full_key(b, f);
+                    let key = full_key(b, f, est.warm(b));
                     if best.map(|(k, _)| key < k).unwrap_or(true) {
                         best = Some((key, b));
                     }
@@ -522,7 +618,7 @@ impl PhaseAware {
             }
         }
         assert!(overall != usize::MAX, "at least one board is placeable");
-        let tie_band = 0.02 * est.service_s[overall];
+        let tie_band = 0.02 * est.service(overall);
         let prefers_big = Self::prefers_big(job);
         // Pass 2: argmin over the tie band. The key ends in `b`, so
         // keys are unique and this matches the old min-by exactly.
@@ -534,7 +630,7 @@ impl PhaseAware {
                     Some(big) => (state.spec.big_rich(b) != big) as u8 as f64,
                     None => 0.0,
                 };
-                let key = (mismatch, !est.warm[b] as u8 as f64, f, b as f64);
+                let key = (mismatch, !est.warm(b) as u8 as f64, f, b as f64);
                 if best.map(|(k, _)| key < k).unwrap_or(true) {
                     best = Some((key, b));
                 }
@@ -552,6 +648,7 @@ impl Dispatcher for PhaseAware {
     fn pick(&mut self, state: &ClusterState, job: &JobSpec, est: &JobEstimates) -> usize {
         match state.dispatch_index() {
             Some(idx) => {
+                assert_per_arch(est, idx);
                 let b = self.pick_indexed(state, job, est, idx);
                 #[cfg(feature = "pick_crosscheck")]
                 assert_eq!(
@@ -631,6 +728,15 @@ mod tests {
         }
     }
 
+    /// One class per board, every class at 1 s / 1 J / cold.
+    fn uniform_per_board(n: usize) -> JobEstimates {
+        let mut est = JobEstimates::zeroed(n);
+        for b in 0..n {
+            est.set_class(b, 1.0, 1.0, false);
+        }
+        est
+    }
+
     struct Fixture {
         cluster: ClusterSpec,
         busy: Vec<f64>,
@@ -649,11 +755,7 @@ mod tests {
                 dispatched: vec![0; n],
                 down: Vec::new(),
                 blackout: Vec::new(),
-                est: JobEstimates {
-                    service_s: vec![1.0; n],
-                    energy_j: vec![1.0; n],
-                    warm: vec![false; n],
-                },
+                est: uniform_per_board(n),
             }
         }
 
@@ -725,7 +827,9 @@ mod tests {
     #[test]
     fn energy_aware_picks_cheapest_among_uncongested() {
         let mut f = Fixture::new(4);
-        f.est.energy_j = vec![4.0, 1.5, 3.0, 2.0];
+        for (b, e) in [4.0, 1.5, 3.0, 2.0].into_iter().enumerate() {
+            f.est.set_class(b, 1.0, e, false);
+        }
         assert_eq!(
             EnergyAware::default().pick(&f.state(), &job(JobClass::Mixed), &f.est),
             1
@@ -752,7 +856,7 @@ mod tests {
             &f.est
         )));
         // Warm boards win ties within the preferred side.
-        f.est.warm = vec![false, false, true, false];
+        f.est.set_class(2, 1.0, 1.0, true);
         assert_eq!(
             PhaseAware::default().pick(&f.state(), &job(JobClass::CpuHeavy), &f.est),
             2
@@ -778,13 +882,13 @@ mod tests {
             .fold(f64::INFINITY, f64::min);
         let feasible: Vec<usize> = state
             .placeable_boards()
-            .filter(|&b| state.backlog_s(b) <= min_backlog + est.service_s[b])
+            .filter(|&b| state.backlog_s(b) <= min_backlog + est.service(b))
             .collect();
         *feasible
             .iter()
             .min_by(|&&a, &&b| {
-                (est.energy_j[a], est.est_finish_s(state, a), a)
-                    .partial_cmp(&(est.energy_j[b], est.est_finish_s(state, b), b))
+                (est.energy(a), est.est_finish_s(state, a), a)
+                    .partial_cmp(&(est.energy(b), est.est_finish_s(state, b), b))
                     .expect("estimates are finite")
             })
             .expect("some board is up")
@@ -794,7 +898,7 @@ mod tests {
     /// iterator min-by, then a collected tie Vec.
     fn phase_aware_ref(state: &ClusterState, job: &JobSpec, est: &JobEstimates) -> usize {
         let overall = argmin_placeable(state, |b| (est.est_finish_s(state, b), b as f64));
-        let tie_band = 0.02 * est.service_s[overall];
+        let tie_band = 0.02 * est.service(overall);
         let best_finish = est.est_finish_s(state, overall);
         let ties: Vec<usize> = state
             .placeable_boards()
@@ -810,13 +914,13 @@ mod tests {
                 };
                 let ka = (
                     mismatch(a),
-                    !est.warm[a] as u8 as f64,
+                    !est.warm(a) as u8 as f64,
                     est.est_finish_s(state, a),
                     a as f64,
                 );
                 let kb = (
                     mismatch(b),
-                    !est.warm[b] as u8 as f64,
+                    !est.warm(b) as u8 as f64,
                     est.est_finish_s(state, b),
                     b as f64,
                 );
@@ -848,9 +952,9 @@ mod tests {
                 // Quantised so distinct boards often collide exactly.
                 f.busy[b] = (next() % 4) as f64 * 5.0;
                 f.dispatched[b] = (next() % 3) as usize;
-                f.est.service_s[b] = 1.0 + (next() % 3) as f64;
-                f.est.energy_j[b] = (next() % 4) as f64;
-                f.est.warm[b] = next() % 2 == 0;
+                let service_s = 1.0 + (next() % 3) as f64;
+                let energy_j = (next() % 4) as f64;
+                f.est.set_class(b, service_s, energy_j, next() % 2 == 0);
                 if next() % 5 == 0 {
                     f.down.push(b);
                 } else if next() % 5 == 0 {
@@ -910,16 +1014,14 @@ mod tests {
                 let mut st = ClusterState::new(&cluster, mode);
                 st.now_s = 10.0;
                 st.enable_dispatch_index();
-                // Estimates must be architecture-consistent (the kernel
-                // fans them per arch class): heterogeneous clusters
-                // alternate XU4 / RK3399 by board parity.
+                // Per-architecture estimates, as the kernel hands out:
+                // heterogeneous clusters alternate XU4 (class 0) and
+                // RK3399 (class 1) by board parity.
                 let arch_svc = [1.0 + (next() % 3) as f64 * 0.5, 1.0 + (next() % 3) as f64];
                 let arch_energy = [1.0 + (next() % 2) as f64, 1.0 + (next() % 2) as f64];
-                let est = JobEstimates {
-                    service_s: (0..n).map(|b| arch_svc[b % 2]).collect(),
-                    energy_j: (0..n).map(|b| arch_energy[b % 2]).collect(),
-                    warm: (0..n).map(|b| b % 2 == case % 2).collect(),
-                };
+                let mut est = JobEstimates::per_arch(&cluster);
+                est.set_class(0, arch_svc[0], arch_energy[0], case % 2 == 0);
+                est.set_class(1, arch_svc[1], arch_energy[1], case % 2 == 1);
                 let mut blk = vec![false; n];
                 for _ in 0..250 {
                     let b = (next() % n as u64) as usize;
@@ -1057,12 +1159,9 @@ mod tests {
             st.boards[b].dispatched = (next() % 4) as usize;
             st.refresh_dispatch_index(b);
         }
-        let arch_svc = [1.5, 1.5];
-        let est = JobEstimates {
-            service_s: (0..n).map(|b| arch_svc[b % 2]).collect(),
-            energy_j: (0..n).map(|b| 1.0 + (b % 2) as f64).collect(),
-            warm: (0..n).map(|b| b % 2 == 0).collect(),
-        };
+        let mut est = JobEstimates::per_arch(&cluster);
+        est.set_class(0, 1.5, 1.0, true);
+        est.set_class(1, 1.5, 2.0, false);
         let mut max_stale = 0usize;
         let mut checked = 0usize;
         for step in 0..400 {
@@ -1127,6 +1226,135 @@ mod tests {
             "stale flood degenerated: peak {max_stale} boards"
         );
         assert!(checked > 2000, "flood sweep degenerated: {checked} picks");
+    }
+
+    /// Per-architecture estimates must pick exactly what the same
+    /// values expanded into one class per board pick — the shape the
+    /// kernel handed out when it copied estimates to every board. Each
+    /// seeded fixture is checked on the scan path (index off, both
+    /// shapes through `pick`) and on the indexed path (classed through
+    /// the indexed `pick`, expanded through the reference scan).
+    /// Backlogs and estimates are quantised so exact finish-time ties
+    /// and tie-band edges occur. A misprofile factor, when drawn, is
+    /// applied per class and must equal the per-board products bit for
+    /// bit.
+    #[test]
+    fn per_arch_estimates_pick_like_per_board_expansion() {
+        let mut lcg = 0xd1b5_4a32_d192_ed03u64;
+        let mut next = move || {
+            lcg ^= lcg >> 12;
+            lcg ^= lcg << 25;
+            lcg ^= lcg >> 27;
+            lcg.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        let mut checked = 0usize;
+        let mut scaled = 0usize;
+        for case in 0..300 {
+            let n = 2 + (next() % 39) as usize;
+            let mut f = Fixture::new(n);
+            for b in 0..n {
+                f.busy[b] = (next() % 4) as f64 * 5.0;
+                f.dispatched[b] = (next() % 3) as usize;
+                if next() % 6 == 0 {
+                    f.down.push(b);
+                } else if next() % 6 == 0 {
+                    f.blackout.push(b);
+                }
+            }
+            let mut classed = JobEstimates::per_arch(&f.cluster);
+            let mut expanded = JobEstimates::zeroed(n);
+            let arch: Vec<(f64, f64, bool)> = (0..classed.n_classes())
+                .map(|_| {
+                    let service_s = 0.5 + (next() % 4) as f64 * 0.5;
+                    let energy_j = (next() % 3) as f64;
+                    (service_s, energy_j, next() % 2 == 0)
+                })
+                .collect();
+            for (a, &(s, e, w)) in arch.iter().enumerate() {
+                classed.set_class(a, s, e, w);
+            }
+            for b in 0..n {
+                let (s, e, w) = arch[b % 2];
+                expanded.set_class(b, s, e, w);
+            }
+            if next() % 3 == 0 {
+                let mf = 0.15 + (next() % 29) as f64 * 0.137;
+                classed.scale_service(mf);
+                expanded.scale_service(mf);
+                for b in 0..n {
+                    assert_eq!(
+                        classed.service(b).to_bits(),
+                        (arch[b % 2].0 * mf).to_bits(),
+                        "per-class misprofile product diverged (case {case}, board {b})"
+                    );
+                    assert_eq!(classed.service(b).to_bits(), expanded.service(b).to_bits());
+                }
+                scaled += 1;
+            }
+            let mut st = f.state();
+            if !st.any_placeable() {
+                continue;
+            }
+            for indexed in [false, true] {
+                if indexed {
+                    st.enable_dispatch_index();
+                }
+                for class in JobClass::ALL {
+                    let j = job(class);
+                    let mut ea = EnergyAware::default();
+                    let mut pa = PhaseAware::default();
+                    let (ll, e, p) = if indexed {
+                        (
+                            LeastLoaded.pick_scan(&st),
+                            ea.pick_scan(&st, &expanded),
+                            pa.pick_scan(&st, &j, &expanded),
+                        )
+                    } else {
+                        (
+                            LeastLoaded.pick(&st, &j, &expanded),
+                            ea.pick(&st, &j, &expanded),
+                            pa.pick(&st, &j, &expanded),
+                        )
+                    };
+                    let at = format!("case {case}, {n} boards, indexed {indexed}, {class:?}");
+                    assert_eq!(
+                        LeastLoaded.pick(&st, &j, &classed),
+                        ll,
+                        "least-loaded: {at}"
+                    );
+                    assert_eq!(ea.pick(&st, &j, &classed), e, "energy-aware: {at}");
+                    assert_eq!(pa.pick(&st, &j, &classed), p, "phase-aware: {at}");
+                    checked += 3;
+                }
+            }
+        }
+        assert!(
+            checked >= 2000,
+            "equivalence sweep degenerated: {checked} picks"
+        );
+        assert!(scaled >= 50, "misprofile leg degenerated: {scaled} cases");
+    }
+
+    /// Per-board estimates reaching an indexed pick would mis-pick
+    /// silently (the index takes one winner per architecture class), so
+    /// the pick refuses them.
+    #[test]
+    #[should_panic(expected = "indexed pick needs estimates per architecture class")]
+    fn indexed_phase_aware_rejects_per_board_estimates() {
+        let cluster = ClusterSpec::heterogeneous(4);
+        let mut st = ClusterState::new(&cluster, DispatchMode::Oracle);
+        st.enable_dispatch_index();
+        PhaseAware::default().pick(&st, &job(JobClass::CpuHeavy), &uniform_per_board(4));
+    }
+
+    /// As above, for the energy-aware indexed pick.
+    #[test]
+    #[should_panic(expected = "indexed pick needs estimates per architecture class")]
+    fn indexed_energy_aware_rejects_per_board_estimates() {
+        let cluster = ClusterSpec::heterogeneous(4);
+        let mut st = ClusterState::new(&cluster, DispatchMode::Oracle);
+        st.enable_dispatch_index();
+        EnergyAware::default().pick(&st, &job(JobClass::Mixed), &uniform_per_board(4));
     }
 
     #[test]

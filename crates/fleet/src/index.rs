@@ -152,7 +152,7 @@ pub(crate) struct DispatchIndex {
     /// Current class of each board (`class[b]` mirrors set membership).
     class: Vec<BoardClass>,
     /// Architecture-class id per board, first-appearance order.
-    arch_of: Vec<u16>,
+    arch_of: Vec<u32>,
     /// Distinct architecture classes.
     n_arch: usize,
     /// Zero-class boards by `(dispatched bits, board)`.
@@ -181,7 +181,7 @@ pub(crate) struct DispatchIndex {
 
 impl DispatchIndex {
     /// Reset to an empty, enabled index over `arch_of.len()` boards.
-    pub(crate) fn reset(&mut self, arch_of: Vec<u16>, n_arch: usize) {
+    pub(crate) fn reset(&mut self, arch_of: Vec<u32>, n_arch: usize) {
         let n = arch_of.len();
         self.enabled = true;
         self.class = vec![BoardClass::None; n];
@@ -389,7 +389,7 @@ mod tests {
     fn index(n: usize) -> DispatchIndex {
         let mut idx = DispatchIndex::default();
         // Two architecture classes, alternating by parity.
-        idx.reset((0..n).map(|b| (b % 2) as u16).collect(), 2);
+        idx.reset((0..n).map(|b| (b % 2) as u32).collect(), 2);
         idx
     }
 

@@ -543,27 +543,19 @@ pub struct KernelStats {
     pub par_advances: u64,
 }
 
-/// Board-architecture lookup tables, computed once per run so the
-/// per-arrival estimate work is O(architectures), not O(boards).
+/// Board-architecture lookup tables, computed once per run.
 struct ArchMap {
     /// Distinct architecture keys, first-appearance order.
     keys: Vec<&'static str>,
     /// Architecture index of every board.
-    of_board: Vec<usize>,
+    of_board: Vec<u32>,
     /// A representative board index per architecture.
     representative: Vec<usize>,
 }
 
 impl ArchMap {
     fn new(cluster: &crate::cluster::ClusterSpec) -> Self {
-        let keys = cluster.arch_keys();
-        let of_board = (0..cluster.len())
-            .map(|b| {
-                keys.iter()
-                    .position(|&k| k == cluster.arch_key(b))
-                    .expect("every board's arch is in arch_keys")
-            })
-            .collect();
+        let (keys, of_board) = cluster.arch_classes();
         let representative = keys
             .iter()
             .map(|k| cluster.representative_board_idx(k))
@@ -578,34 +570,32 @@ impl ArchMap {
     fn len(&self) -> usize {
         self.keys.len()
     }
+
+    /// Architecture index of board `b`.
+    fn of(&self, b: usize) -> usize {
+        self.of_board[b] as usize
+    }
 }
 
 /// Per-run scratch for estimate construction, refilled in place per
 /// arrival so estimating allocates nothing however many jobs stream
-/// through. The per-architecture arrays are sized to the cluster's
-/// distinct architecture count — any number of architectures works.
+/// through. Both tables hold one slot per architecture, so an arrival
+/// writes O(architectures) values however many boards there are.
 struct EstScratch {
-    /// Per-board estimates handed to dispatchers (feedback-corrected).
+    /// Per-architecture estimates handed to dispatchers
+    /// (feedback-corrected).
     est: JobEstimates,
     /// Uncorrected per-architecture profiled walls — what policy
     /// resolution and the admission guard reason about.
     base_s: Vec<f64>,
-    /// Corrected per-architecture service estimates.
-    service_s: Vec<f64>,
-    /// Per-architecture energy estimates.
-    energy_j: Vec<f64>,
-    /// Per-architecture warm-cache bits.
-    warm: Vec<bool>,
 }
 
 impl EstScratch {
-    fn new(n_boards: usize, n_arches: usize) -> Self {
+    fn new(cluster: &crate::cluster::ClusterSpec) -> Self {
+        let est = JobEstimates::per_arch(cluster);
         EstScratch {
-            est: JobEstimates::zeroed(n_boards),
-            base_s: vec![0.0; n_arches],
-            service_s: vec![0.0; n_arches],
-            energy_j: vec![0.0; n_arches],
-            warm: vec![false; n_arches],
+            base_s: vec![0.0; est.n_classes()],
+            est,
         }
     }
 }
@@ -849,7 +839,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         let feedback = scenario.feedback.then(ServiceFeedback::default);
         let outcomes: Vec<JobOutcome> = Vec::with_capacity(if retain { cursor.total() } else { 0 });
         // Per-arrival scratch, refilled in place (no per-event allocs).
-        let scratch = EstScratch::new(n_boards, arches.len());
+        let scratch = EstScratch::new(sim.cluster);
 
         // The control queue: churn first (so a down-at-t beats an
         // arrival at the same t), then the compiled chaos events in
@@ -1107,9 +1097,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                 // contracts, not estimates).
                 let mf = chaos.misprofile_factor(job.class(), time_s, Some(&mut *chaos_stats));
                 if mf != 1.0 {
-                    for s in &mut scratch.est.service_s {
-                        *s *= mf;
-                    }
+                    scratch.est.scale_service(mf);
                 }
                 let b = dispatcher.pick(&*state, &job, &scratch.est);
                 assert!(b < n_boards, "dispatcher picked board {b} of {n_boards}");
@@ -1128,7 +1116,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                     &job,
                     module,
                     b,
-                    scratch.base_s[arches.of_board[b]],
+                    scratch.base_s[arches.of(b)],
                     &mut *train_time_s,
                     &mut *train_energy_j,
                     &mut *guard_bypasses,
@@ -1143,7 +1131,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                     profiled_s,
                     feedback.as_ref(),
                     &job,
-                    arches.keys[arches.of_board[b]],
+                    arches.keys[arches.of(b)],
                 );
 
                 // Oracle accumulator: batch stage-1 semantics.
@@ -1838,12 +1826,11 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
 impl FleetSim<'_> {
     // ---- admission ----------------------------------------------------------
 
-    /// Refill `scratch` with per-board estimates for `job` (and the
-    /// uncorrected per-architecture profiled walls); returns the
-    /// resolved SLO. Profiled values are computed once per
-    /// *architecture* and fanned out to boards, so an arrival costs
-    /// O(architectures) profile lookups however many boards the
-    /// cluster has. Read-only on the cache (peeks, no accounting).
+    /// Refill `scratch` with per-architecture estimates for `job` (and
+    /// the uncorrected profiled walls); returns the resolved SLO. An
+    /// arrival costs O(architectures) profile lookups and writes
+    /// however many boards the cluster has. Read-only on the cache
+    /// (peeks, no accounting).
     #[allow(clippy::too_many_arguments)]
     fn estimates_into(
         &self,
@@ -1871,15 +1858,9 @@ impl FleetSim<'_> {
                 arches.representative[a],
             );
             scratch.base_s[a] = wall;
-            scratch.service_s[a] = corrected(wall, feedback, job, arch);
-            scratch.energy_j[a] = energy;
-            scratch.warm[a] = warm;
-        }
-        for b in 0..arches.of_board.len() {
-            let a = arches.of_board[b];
-            scratch.est.service_s[b] = scratch.service_s[a];
-            scratch.est.energy_j[b] = scratch.energy_j[a];
-            scratch.est.warm[b] = scratch.warm[a];
+            scratch
+                .est
+                .set_class(a, corrected(wall, feedback, job, arch), energy, warm);
         }
         slo_s
     }
@@ -2107,9 +2088,7 @@ impl FleetSim<'_> {
         // window corrupts its estimates exactly like an arrival's.
         let mf = chaos.misprofile_factor(qj.job.class(), state.now_s, Some(chaos_stats));
         if mf != 1.0 {
-            for s in &mut scratch.est.service_s {
-                *s *= mf;
-            }
+            scratch.est.scale_service(mf);
         }
         let b = dispatcher.pick(state, &qj.job, &scratch.est);
         assert!(
@@ -2210,12 +2189,8 @@ impl FleetSim<'_> {
                             module,
                             b2,
                         );
-                        let wall = corrected(
-                            wall * mf,
-                            feedback,
-                            &qj.job,
-                            arches.keys[arches.of_board[b2]],
-                        );
+                        let wall =
+                            corrected(wall * mf, feedback, &qj.job, arches.keys[arches.of(b2)]);
                         // The job keeps its already-accumulated penalty
                         // on the target board, so the prediction must
                         // carry it — or a re-migration could be
@@ -2353,7 +2328,7 @@ fn ensure_static_build(
     if let Some((st, version)) = schedule {
         let key = (
             crate::sim::sk(job.workload.name),
-            crate::sim::sk(arches.keys[arches.of_board[b]]),
+            crate::sim::sk(arches.keys[arches.of(b)]),
             *version,
         );
         progs
@@ -2647,6 +2622,36 @@ mod tests {
             &mut PolicyCache::new(8),
             &Scenario::online(PolicyMode::Cold),
         );
+    }
+
+    /// The arrival path writes one estimate slot per architecture: a
+    /// 2000-board, two-architecture fleet's scratch holds 2 classes,
+    /// not 2000 per-board slots, before and after arrivals refill it.
+    #[test]
+    fn estimate_scratch_is_per_architecture_not_per_board() {
+        let cluster = ClusterSpec::heterogeneous(2000);
+        let sim = FleetSim::new(&cluster, ckpt_params(1));
+        let mut cursor = ckpt_cursor();
+        let mut dispatcher = PhaseAware::default();
+        let mut cache = PolicyCache::new(8);
+        let scenario = Scenario::online(PolicyMode::Warm);
+        let mut telemetry = FlightRecorder::off();
+        let mut k = sim.resident(
+            &mut cursor,
+            &mut dispatcher,
+            &mut cache,
+            &scenario,
+            &mut telemetry,
+            false,
+        );
+        for _ in 0..3 {
+            assert_eq!(k.scratch.est.n_classes(), 2);
+            assert_eq!(k.scratch.base_s.len(), 2);
+            for _ in 0..10 {
+                k.step();
+            }
+        }
+        assert!(k.stats.arrivals > 0, "no arrival refilled the scratch");
     }
 
     #[test]

@@ -460,10 +460,10 @@ impl<'a> ClusterState<'a> {
     /// [`ClusterState`]'s own mutators must be followed by
     /// [`ClusterState::refresh_dispatch_index`] on the touched board,
     /// and every clock move must go through the kernel's advance path —
-    /// the contract the event kernel upholds. Indexed picks also assume
-    /// the estimates handed to dispatchers are fanned out per
-    /// architecture class (identical values for boards sharing an
-    /// architecture key), which the kernel's estimate path guarantees.
+    /// the contract the event kernel upholds. Indexed picks also need
+    /// the estimates handed to dispatchers to be per architecture class
+    /// ([`JobEstimates::per_arch`](crate::dispatch::JobEstimates::per_arch),
+    /// what the kernel hands out); they assert the class counts agree.
     ///
     /// Fleets smaller than `INDEX_MIN_BOARDS` (32, in `crate::index`)
     /// keep the index disabled — a linear scan over a few dozen boards
@@ -479,19 +479,7 @@ impl<'a> ClusterState<'a> {
     /// fleet size. Tests use this to exercise the indexed paths on
     /// small hand-built clusters.
     pub(crate) fn enable_dispatch_index(&mut self) {
-        let mut keys: Vec<&'static str> = Vec::new();
-        let arch_of = (0..self.len())
-            .map(|b| {
-                let k = self.spec.arch_key(b);
-                match keys.iter().position(|&x| x == k) {
-                    Some(i) => i as u16,
-                    None => {
-                        keys.push(k);
-                        (keys.len() - 1) as u16
-                    }
-                }
-            })
-            .collect();
+        let (keys, arch_of) = self.spec.arch_classes();
         self.index.reset(arch_of, keys.len());
         for b in 0..self.len() {
             self.refresh_dispatch_index(b);
